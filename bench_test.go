@@ -640,8 +640,10 @@ func benchMulCtFixture(b *testing.B, backend fhe.Backend) (fhe.BackendCiphertext
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := fhe.BackendCiphertext{A: backend.NewPoly(), B: backend.NewPoly()}
-	backend.MulCt(&dst, c1, c2, rlk) // warm every pool
+	dst := fhe.BackendCiphertext{A: backend.NewPoly(), B: backend.NewPoly(), Domain: c1.Domain}
+	if err := backend.MulCt(&dst, c1, c2, rlk); err != nil { // warm every pool
+		b.Fatal(err)
+	}
 	return c1, c2, dst, rlk
 }
 
@@ -660,7 +662,9 @@ func BenchmarkMulCtRNSK2N4096(b *testing.B) {
 	c1, c2, dst, rlk := benchMulCtFixture(b, backend)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backend.MulCt(&dst, c1, c2, rlk)
+		if err := backend.MulCt(&dst, c1, c2, rlk); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -677,7 +681,9 @@ func BenchmarkMulCtOracleN4096(b *testing.B) {
 	c1, c2, dst, rlk := benchMulCtFixture(b, backend)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backend.MulCt(&dst, c1, c2, rlk)
+		if err := backend.MulCt(&dst, c1, c2, rlk); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -721,7 +727,7 @@ func ladderFixture(b *testing.B, towers, level, n int) (fhe.Backend, fhe.Backend
 			b.Fatal(err)
 		}
 	}
-	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(level), B: backend.NewPolyAt(level), Level: level}
+	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(level), B: backend.NewPolyAt(level), Level: level, Domain: c1.Domain}
 	if err := backend.MulCt(&dst, c1, c2, rlk); err != nil { // warm every pool
 		b.Fatal(err)
 	}
@@ -751,7 +757,7 @@ func BenchmarkMulCtLadderK4N4096(b *testing.B) {
 // allocs/op steady state.
 func BenchmarkModSwitchRNSK4N4096(b *testing.B) {
 	backend, c1, _, _, _ := ladderFixture(b, 4, 0, 1<<12)
-	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(1), B: backend.NewPolyAt(1), Level: 1}
+	dst := fhe.BackendCiphertext{A: backend.NewPolyAt(1), B: backend.NewPolyAt(1), Level: 1, Domain: c1.Domain}
 	if err := backend.ModSwitch(&dst, c1); err != nil {
 		b.Fatal(err)
 	}

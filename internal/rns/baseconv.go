@@ -3,10 +3,8 @@ package rns
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 	"sync"
 
-	"mqxgo/internal/modmath"
 	"mqxgo/internal/ring"
 )
 
@@ -21,7 +19,9 @@ import (
 //     per-coefficient big-integer reconstruction, just k scale-accumulate
 //     spans per output tower, and the alpha*Q error is either harmless
 //     (it vanishes mod Q, and divides down to an additive error < k after
-//     a divide-by-Q rescale) or repaired by the exact converter below.
+//     a divide-by-Q rescale) or repaired by the exact converters below.
+//   - MontBaseConverter: FastBConv with BEHZ's small Montgomery (m~)
+//     correction, which bounds the converted value to x or x - Q.
 //   - SKConverter: the exact Shenoy-Kumaresan conversion out of an
 //     extension base whose last tower is a redundant modulus m_sk. Because
 //     the converted value's residue mod m_sk is carried alongside base P,
@@ -34,115 +34,68 @@ import (
 //     (round(x / q_{k-1}) into the prefix base), the BGV/CKKS-style
 //     modulus-switch primitive.
 //
-// All three ride the existing plan kernels (ScalarMulSpan /
-// ScaleAddSpan): the Shoup multiply underlying them is exact for ANY
-// 64-bit multiplicand, which is what lets a digit z_i < q_i feed a tower
-// with a smaller prime p_j, and what makes every entry point tolerant of
-// lazy [0, 2q) inputs. With pooled scratch, all conversions are
-// allocation-free in steady state.
+// The three converters are pure span-kernel pipelines over the plan
+// kernels (ScalarMulSpan / ScaleAddSpan), so the kernel tier selected at
+// plan build (scalar, AVX2 or AVX-512) runs every conversion pass. The
+// Shoup multiply underlying them is exact for ANY 64-bit multiplicand,
+// which is what lets a digit z_i < q_i feed a tower with a smaller prime
+// p_j, and what makes every entry point tolerant of lazy [0, 2q) inputs.
+// Each output tower is one span dot product: a ScalarMulInto of the first
+// term row and a ScaleAddInto per further row. The corrections of the
+// exact converters enter that dot product as one more term row (the
+// Montgomery digit rho, the Shenoy-Kumaresan overshoot gamma) with its
+// own precomputed weight; beyond it, only the Montgomery converter adds
+// one constant per output tower. With pooled scratch, all conversions
+// (and the Rescaler) are allocation-free in steady state.
 
 // convScratch pools the digit rows (shaped like the source base) and the
-// correction row a conversion needs. rows is only populated by the
-// Rescaler, whose NTT-resident path needs one coefficient-domain row per
-// prefix tower; accHi/accLo are the 128-bit accumulator lanes of the
-// wide conversion path (nil when the basis disqualifies it).
+// correction row a conversion needs. terms lists the span rows of one
+// output tower's dot product (the digit rows, then the correction row
+// gamma); rows is only populated by the Rescaler, whose NTT-resident path
+// needs one coefficient-domain row per prefix tower.
 type convScratch struct {
 	z     Poly
 	gamma []uint64
+	terms [][]uint64
 	rows  [][]uint64
-
-	accHi, accLo []uint64
 }
 
-// wideOK reports whether the weighted digit sum of a conversion from one
-// base into another may run on the deferred 128-bit accumulator. Two
-// halves of the contract: the sum of terms z_i * m_i (canonical digits
-// z_i < 2^Nf times weights m_i < 2^Nt) must not wrap 128 bits, and the
-// low accumulator lane (< 2^64) must fit the target's q^2 Barrett
-// domain, i.e. every target prime exceeds 32 bits. The high lane needs
-// no domain check — it feeds the Shoup multiply, exact for any 64-bit
-// input.
-func wideOK(from, to *Context, terms int) bool {
-	if terms > 32 {
-		return false
-	}
-	var nf, nt uint
-	for _, mod := range from.Mods {
-		if mod.N > nf {
-			nf = mod.N
-		}
-	}
-	for _, mod := range to.Mods {
-		if mod.N < 33 {
-			return false
-		}
-		if mod.N > nt {
-			nt = mod.N
-		}
-	}
-	return nf+nt+uint(bits.Len(uint(terms-1))) <= 128
+// newTermScratch pools the first k digit rows of a from-shaped Poly plus
+// the correction row, listed in that order as the dot-product terms.
+func newTermScratch(from *Context, k int) *convScratch {
+	sc := &convScratch{z: from.NewPoly(), gamma: make([]uint64, from.N)}
+	sc.terms = append(sc.z.Res[:k:k], sc.gamma)
+	return sc
 }
 
-// r64Table precomputes R_j = 2^64 mod p_j (and its Shoup dual) for every
-// tower of a context — the radix constant that splits a 128-bit
-// accumulator reduction as x mod p = hi*R + [lo]_p. The Shoup multiply
-// is exact for ANY 64-bit first operand, so the raw high lane feeds it
-// directly: only the low lane ever pays a Barrett reduction.
-func r64Table(to *Context) (r, pre []uint64) {
-	radix := new(big.Int).Lsh(big.NewInt(1), 64)
+// spanDotInto writes dst = sum_t rows[t]*w[t] mod p on one tower's span
+// kernels: a ScalarMulInto of the first row, then one ScaleAddInto per
+// further row. Rows may hold any 64-bit values (the Shoup multiply is
+// exact for them); dst is canonical.
+func spanDotInto(plan *ring.Plan[uint64, ring.Shoup64], dst []uint64, rows [][]uint64, w []uint64) {
+	plan.ScalarMulInto(dst, rows[0], w[0])
+	for t := 1; t < len(rows); t++ {
+		plan.ScaleAddInto(dst, dst, rows[t], w[t])
+	}
+}
+
+// weightRows returns, for every tower p_j of to, the row
+// [(c_i * scale) mod p_j]_i of weights c_i; scale may be nil for 1.
+func weightRows(to *Context, c []*big.Int, scale *big.Int) [][]uint64 {
+	rows := make([][]uint64, len(to.Mods))
 	t := new(big.Int)
-	r = make([]uint64, len(to.Mods))
-	pre = make([]uint64, len(to.Mods))
 	for j, mod := range to.Mods {
-		r[j] = t.Mod(radix, new(big.Int).SetUint64(mod.Q)).Uint64()
-		pre[j] = mod.ShoupPrecompute(r[j])
+		qb := new(big.Int).SetUint64(mod.Q)
+		rows[j] = make([]uint64, len(c))
+		for i, ci := range c {
+			t.Set(ci)
+			if scale != nil {
+				t.Mul(t, scale)
+			}
+			rows[j][i] = t.Mod(t, qb).Uint64()
+		}
 	}
-	return r, pre
-}
-
-// wideMulRow initializes the accumulator lanes with the widening products
-// accHi:accLo = z[j] * w.
-//
-//mqx:hotpath
-func wideMulRow(accHi, accLo, z []uint64, w uint64) {
-	accHi = accHi[:len(accLo)]
-	z = z[:len(accLo)]
-	for j := range accLo {
-		accHi[j], accLo[j] = bits.Mul64(z[j], w)
-	}
-}
-
-// wideMACRow folds one more weighted digit row into the accumulator
-// lanes: accHi:accLo += z[j] * w, exact in 128 bits (callers guarantee
-// the no-wrap headroom via wideOK).
-//
-//mqx:hotpath
-func wideMACRow(accHi, accLo, z []uint64, w uint64) {
-	accHi = accHi[:len(accLo)]
-	z = z[:len(accLo)]
-	for j := range accLo {
-		hi, lo := bits.Mul64(z[j], w)
-		var c uint64
-		accLo[j], c = bits.Add64(accLo[j], lo, 0)
-		accHi[j] += hi + c
-	}
-}
-
-// wideReduceRow lands the accumulator lanes canonically on dst:
-// dst[j] = (accHi[j]*2^64 + accLo[j]) mod p — the one reduction the whole
-// deferred inner product pays, replacing one canonical scale-accumulate
-// pass per digit. The high lane rides the exact-for-any-input Shoup
-// multiply by R = 2^64 mod p; only the low lane pays a Barrett.
-//
-//mqx:hotpath
-func wideReduceRow(dst, accHi, accLo []uint64, mod *modmath.Modulus64, r64, r64Pre uint64) {
-	q, mu, nb := mod.Q, mod.Mu, mod.N
-	accHi = accHi[:len(dst)]
-	accLo = accLo[:len(dst)]
-	for j := range dst {
-		dst[j] = mod.Add(mod.MulShoup(accHi[j], r64, r64Pre),
-			modmath.Barrett64Reduce(0, accLo[j], q, mu, nb))
-	}
+	return rows
 }
 
 // BaseConverter converts polynomials from base Q (the from context) to a
@@ -153,9 +106,6 @@ type BaseConverter struct {
 	// m[j][i] = (Q/q_i) mod p_j, the cross-base CRT weight matrix.
 	m [][]uint64
 
-	r64, r64Pre []uint64 // 2^64 mod p_j and Shoup duals (wide radix)
-	wide        bool
-
 	scratch sync.Pool
 }
 
@@ -165,26 +115,8 @@ func NewBaseConverter(from, to *Context) (*BaseConverter, error) {
 	if from.N != to.N {
 		return nil, fmt.Errorf("rns: base sizes differ: %d vs %d", from.N, to.N)
 	}
-	bc := &BaseConverter{from: from, to: to}
-	t := new(big.Int)
-	for _, mod := range to.Mods {
-		qb := new(big.Int).SetUint64(mod.Q)
-		row := make([]uint64, from.Channels())
-		for i := range from.Mods {
-			row[i] = t.Mod(from.qi[i], qb).Uint64()
-		}
-		bc.m = append(bc.m, row)
-	}
-	bc.wide = wideOK(from, to, from.Channels())
-	bc.r64, bc.r64Pre = r64Table(to)
-	bc.scratch.New = func() any {
-		sc := &convScratch{z: from.NewPoly(), gamma: make([]uint64, from.N)}
-		if bc.wide {
-			sc.accHi = make([]uint64, from.N)
-			sc.accLo = make([]uint64, from.N)
-		}
-		return sc
-	}
+	bc := &BaseConverter{from: from, to: to, m: weightRows(to, from.qi, nil)}
+	bc.scratch.New = func() any { return &convScratch{z: from.NewPoly()} }
 	return bc, nil
 }
 
@@ -197,29 +129,12 @@ func (bc *BaseConverter) digitsInto(z, src Poly) {
 	}
 }
 
-// accumulateInto folds the digit rows z against column i of the weight
-// matrix into every tower of dst: dst_j = sum_i z_i * m[j][i] mod p_j.
-// On a wide-eligible basis the k-term sum runs on the 128-bit
-// accumulator lanes and reduces once per element; otherwise it is the
-// canonical chain of scale-accumulate spans. Same sum, same canonical
-// representative — bit-identical either way.
-func (bc *BaseConverter) accumulateInto(sc *convScratch, dst, z Poly) {
-	k := bc.from.Channels()
+// accumulateInto folds the digit rows z against the weight matrix into
+// every tower of dst: dst_j = sum_i z_i * m[j][i] mod p_j, one span dot
+// product per output tower.
+func (bc *BaseConverter) accumulateInto(dst, z Poly) {
 	for j := range bc.to.Mods {
-		row := bc.m[j]
-		if bc.wide {
-			wideMulRow(sc.accHi, sc.accLo, z.Res[0], row[0])
-			for i := 1; i < k; i++ {
-				wideMACRow(sc.accHi, sc.accLo, z.Res[i], row[i])
-			}
-			wideReduceRow(dst.Res[j], sc.accHi, sc.accLo, bc.to.Mods[j], bc.r64[j], bc.r64Pre[j])
-			continue
-		}
-		plan := bc.to.Plans[j].Generic()
-		plan.ScalarMulInto(dst.Res[j], z.Res[0], row[0])
-		for i := 1; i < k; i++ {
-			plan.ScaleAddInto(dst.Res[j], dst.Res[j], z.Res[i], row[i])
-		}
+		spanDotInto(bc.to.Plans[j].Generic(), dst.Res[j], z.Res, bc.m[j])
 	}
 }
 
@@ -239,7 +154,7 @@ func (bc *BaseConverter) ConvertInto(dst, src Poly) error {
 	}
 	sc := bc.scratch.Get().(*convScratch)
 	bc.digitsInto(sc.z, src)
-	bc.accumulateInto(sc, dst, sc.z)
+	bc.accumulateInto(dst, sc.z)
 	bc.scratch.Put(sc)
 	return nil
 }
@@ -259,9 +174,7 @@ func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
 	if err := bc.to.checkPoly(dst); err != nil {
 		return err
 	}
-	sc := bc.scratch.Get().(*convScratch)
-	bc.accumulateInto(sc, dst, z)
-	bc.scratch.Put(sc)
+	bc.accumulateInto(dst, z)
 	return nil
 }
 
@@ -269,7 +182,7 @@ func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
 // §3.2 (the small Montgomery reduction SmMRq): it converts x in base Q to a
 // base P with the FastBConv overshoot alpha*Q (0 <= alpha < k) removed, at
 // the cost of one extra residue channel modulo a small auxiliary modulus
-// m~ and a per-coefficient correction.
+// m~ and one extra span term per output tower.
 //
 // The trick, folded into the digit constants so no caller-side scaling is
 // needed: instead of converting x, convert X = [m~ * x]_Q (its digits are
@@ -277,36 +190,37 @@ func (bc *BaseConverter) ConvertDigitsInto(dst, z Poly) error {
 // tower). The weighted digit sum V = sum_i z_i*(Q/q_i) equals
 // m~*x + (alpha - beta)*Q for overshoots alpha < k, beta < m~, and V's
 // residue modulo m~ is computable from the digits alone. Choosing
-// r = [-V * Q^-1]_m~ (centered) makes V + r*Q divisible by m~, and
+// r = [-V * Q^-1]_m~, centered to r' in (-m~/2, m~/2], makes V + r'*Q
+// divisible by m~, and
 //
-//	y = (V + r*Q) / m~ = x + gamma*Q  with gamma in {-1, 0}
+//	y = (V + r'*Q) / m~ = x + gamma*Q  with gamma in {-1, 0}
 //
-// (the multiple of m~ nearest alpha - beta + r is 0 or -m~ because
+// (the multiple of m~ nearest alpha - beta + r' is 0 or -m~ because
 // alpha < m~/2). So the converted operand's magnitude is bounded by Q
 // instead of k*Q — the operand overshoot PR 4 documented and absorbed into
 // the multiply noise constant is gone, which is what lets
 // fhe.MulNoiseBoundBits tighten its conversion term.
 //
+// The correction is folded into the conversion weights. The centered r'
+// is shifted to the non-negative digit rho = r' + m~/2 in [1, m~],
+// computed branchlessly from r as rho = ((r + m~/2 - 1) & (m~-1)) + 1, so
+// every output tower is k+1 span terms plus one constant:
+//
+//	dst_j = sum_i z_i*w_ji + rho*u_j + c_j  mod p_j
+//	w_ji = (Q/q_i)*m~^-1,  u_j = Q*m~^-1,  c_j = -(m~/2)*u_j
+//
 // Like BaseConverter, every step is exact for the Shoup span kernels
 // (digits and accumulation), inputs may be lazy ([0, 2q)), and steady-state
-// conversions allocate nothing. The correction itself is one masked
-// multiply-accumulate per coefficient (m~ is a power of two) plus two
-// modular multiplies per output residue.
+// conversions allocate nothing.
 type MontBaseConverter struct {
 	from, to *Context
 	mt       uint64 // m~, a power of two > 2*k
 
 	digitMul []uint64   // (m~ * (Q/q_i)^-1) mod q_i: digits of [m~ x]_Q
-	m        [][]uint64 // m[j][i] = (Q/q_i) mod p_j
+	w        [][]uint64 // w[j] = [w_j0 .. w_j(k-1), u_j], the k+1 term weights
+	c        []uint64   // c_j = -(m~/2) * Q * m~^-1 mod p_j
 	mRowMt   []uint64   // (Q/q_i) mod m~
 	negQInv  uint64     // (-Q^-1) mod m~
-	qModP    []uint64   // Q mod p_j
-	mtQModP  []uint64   // (m~ * Q) mod p_j, the centering subtract
-	mtInvP   []uint64   // m~^-1 mod p_j
-	mtInvPre []uint64   // Shoup precomputation of mtInvP
-	r64      []uint64   // 2^64 mod p_j (wide-accumulator radix)
-	r64Pre   []uint64   // Shoup duals of r64
-	wide     bool
 
 	scratch sync.Pool
 }
@@ -321,8 +235,9 @@ func NewMontBaseConverter(from, to *Context, mtilde uint64) (*MontBaseConverter,
 	if mtilde == 0 || mtilde&(mtilde-1) != 0 || mtilde > 1<<31 {
 		return nil, fmt.Errorf("rns: m~ %d is not a power of two <= 2^31", mtilde)
 	}
-	if mtilde <= 2*uint64(from.Channels()) {
-		return nil, fmt.Errorf("rns: m~ %d too small for %d towers", mtilde, from.Channels())
+	k := from.Channels()
+	if mtilde <= 2*uint64(k) {
+		return nil, fmt.Errorf("rns: m~ %d too small for %d towers", mtilde, k)
 	}
 	bc := &MontBaseConverter{from: from, to: to, mt: mtilde}
 	t := new(big.Int)
@@ -340,30 +255,14 @@ func NewMontBaseConverter(from, to *Context, mtilde uint64) (*MontBaseConverter,
 		bc.digitMul = append(bc.digitMul, mod.Mul(mtilde%mod.Q, from.qiInv[i]))
 		bc.mRowMt = append(bc.mRowMt, t.Mod(from.qi[i], mtBig).Uint64())
 	}
-	for _, mod := range to.Mods {
-		qb := new(big.Int).SetUint64(mod.Q)
-		row := make([]uint64, from.Channels())
-		for i := range from.Mods {
-			row[i] = t.Mod(from.qi[i], qb).Uint64()
-		}
-		bc.m = append(bc.m, row)
-		qModP := t.Mod(from.Q, qb).Uint64()
-		bc.qModP = append(bc.qModP, qModP)
-		bc.mtQModP = append(bc.mtQModP, mod.Mul(mtilde%mod.Q, qModP))
-		inv := mod.Inv(mtilde % mod.Q)
-		bc.mtInvP = append(bc.mtInvP, inv)
-		bc.mtInvPre = append(bc.mtInvPre, mod.ShoupPrecompute(inv))
+	// Rows of m~^-1 * [Q/q_0 .. Q/q_{k-1}, Q] mod p_j: the digit weights
+	// w_ji with u_j appended as the rho term's weight.
+	mtInv := new(big.Int).ModInverse(mtBig, to.Q) // to's primes are odd
+	bc.w = weightRows(to, append(from.qi[:k:k], from.Q), mtInv)
+	for j, mod := range to.Mods {
+		bc.c = append(bc.c, mod.Neg(mod.Mul((mtilde/2)%mod.Q, bc.w[j][k])))
 	}
-	bc.wide = wideOK(from, to, from.Channels())
-	bc.r64, bc.r64Pre = r64Table(to)
-	bc.scratch.New = func() any {
-		sc := &convScratch{z: from.NewPoly(), gamma: make([]uint64, from.N)}
-		if bc.wide {
-			sc.accHi = make([]uint64, from.N)
-			sc.accLo = make([]uint64, from.N)
-		}
-		return sc
-	}
+	bc.scratch.New = func() any { return newTermScratch(from, k) }
 	return bc, nil
 }
 
@@ -382,7 +281,7 @@ func (bc *MontBaseConverter) ConvertInto(dst, src Poly) error {
 		return err
 	}
 	sc := bc.scratch.Get().(*convScratch)
-	z, r := sc.z, sc.gamma
+	z, rho := sc.z, sc.gamma
 	k := bc.from.Channels()
 	mask := bc.mt - 1
 	// Digits of X = [m~ x]_Q, one fused scalar multiply per tower.
@@ -394,60 +293,26 @@ func (bc *MontBaseConverter) ConvertInto(dst, src Poly) error {
 	// of two dividing 2^64, so overflow mod 2^64 preserves the residue
 	// mod m~ and a single final mask suffices — same r, streaming passes
 	// instead of a strided per-coefficient walk over the digit rows.
-	clear(r)
+	clear(rho)
 	for i := 0; i < k; i++ {
-		zr := z.Res[i][:len(r)]
+		zr := z.Res[i][:len(rho)]
 		wmt := bc.mRowMt[i]
-		for j := range r {
-			r[j] += (zr[j] & mask) * wmt
+		for j := range rho {
+			rho[j] += (zr[j] & mask) * wmt
 		}
 	}
-	for j := range r {
-		r[j] = ((r[j] & mask) * bc.negQInv) & mask
-	}
+	// rho = r' + m~/2 in [1, m~] for the centered r' in (-m~/2, m~/2].
 	half := bc.mt / 2
+	for j := range rho {
+		r := ((rho[j] & mask) * bc.negQInv) & mask
+		rho[j] = ((r + half - 1) & mask) + 1
+	}
 	for jt, mod := range bc.to.Mods {
-		row := bc.m[jt]
 		dr := dst.Res[jt]
-		qp, mtq := bc.qModP[jt], bc.mtQModP[jt]
-		inv, pre := bc.mtInvP[jt], bc.mtInvPre[jt]
-		if bc.wide {
-			// Deferred FastBConv: the k-digit weighted sum V rides the
-			// 128-bit accumulator lanes and the Montgomery correction is
-			// fused into the single reduce pass — one canonical landing
-			// per element instead of k scale-accumulate spans plus a
-			// correction pass. Same residues, reduced once.
-			wideMulRow(sc.accHi, sc.accLo, z.Res[0], row[0])
-			for i := 1; i < k; i++ {
-				wideMACRow(sc.accHi, sc.accLo, z.Res[i], row[i])
-			}
-			q, mu, nb := mod.Q, mod.Mu, mod.N
-			r64, r64Pre := bc.r64[jt], bc.r64Pre[jt]
-			for j := range dr {
-				v := mod.Add(mod.MulShoup(sc.accHi[j], r64, r64Pre),
-					modmath.Barrett64Reduce(0, sc.accLo[j], q, mu, nb))
-				t := mod.Add(v, mod.Mul(r[j], qp))
-				if r[j] > half {
-					t = mod.Sub(t, mtq)
-				}
-				dr[j] = mod.MulShoup(t, inv, pre)
-			}
-			continue
-		}
-		plan := bc.to.Plans[jt].Generic()
-		// dst = sum_i z_i * (Q/q_i) mod p_j, the plain FastBConv value...
-		plan.ScalarMulInto(dr, z.Res[0], row[0])
-		for i := 1; i < k; i++ {
-			plan.ScaleAddInto(dr, dr, z.Res[i], row[i])
-		}
-		// ...then the Montgomery correction: (V + r*Q) * m~^-1, with r
-		// centered in (-m~/2, m~/2] (values above m~/2 stand for r - m~).
+		spanDotInto(bc.to.Plans[jt].Generic(), dr, sc.terms, bc.w[jt])
+		c := bc.c[jt]
 		for j := range dr {
-			t := mod.Add(dr[j], mod.Mul(r[j], qp))
-			if r[j] > half {
-				t = mod.Sub(t, mtq)
-			}
-			dr[j] = mod.MulShoup(t, inv, pre)
+			dr[j] = mod.Add(dr[j], c)
 		}
 	}
 	bc.scratch.Put(sc)
@@ -463,13 +328,9 @@ type SKConverter struct {
 	l        int // towers of P (from minus the redundant modulus)
 
 	piInv  []uint64   // (P/p_i)^-1 mod p_i
-	m      [][]uint64 // m[j][i] = (P/p_i) mod q_j
+	w      [][]uint64 // w[j] = [(P/p_i) mod q_j .. , (-P) mod q_j], the l+1 term weights
 	mSK    []uint64   // (P/p_i) mod m_sk
 	pInvSK uint64     // P^-1 mod m_sk
-	negP   []uint64   // (-P) mod q_j, folds the gamma correction via ScaleAdd
-	r64    []uint64   // 2^64 mod q_j (wide-accumulator radix)
-	r64Pre []uint64   // Shoup duals of r64
-	wide   bool
 
 	scratch sync.Pool
 }
@@ -491,7 +352,8 @@ func NewSKConverter(from, to *Context) (*SKConverter, error) {
 	}
 	sk := &SKConverter{from: from, to: to, l: l}
 	t := new(big.Int)
-	pis := make([]*big.Int, l) // pis[i] = P/p_i
+	// pis[i] = P/p_i, with -P appended as the gamma term's weight.
+	pis := make([]*big.Int, l, l+1)
 	for i := 0; i < l; i++ {
 		mod := from.Mods[i]
 		qb := new(big.Int).SetUint64(mod.Q)
@@ -500,26 +362,8 @@ func NewSKConverter(from, to *Context) (*SKConverter, error) {
 		sk.mSK = append(sk.mSK, t.Mod(pis[i], new(big.Int).SetUint64(skMod.Q)).Uint64())
 	}
 	sk.pInvSK = skMod.Inv(t.Mod(p, new(big.Int).SetUint64(skMod.Q)).Uint64())
-	for _, mod := range to.Mods {
-		qb := new(big.Int).SetUint64(mod.Q)
-		row := make([]uint64, l)
-		for i := 0; i < l; i++ {
-			row[i] = t.Mod(pis[i], qb).Uint64()
-		}
-		sk.m = append(sk.m, row)
-		sk.negP = append(sk.negP, mod.Neg(t.Mod(p, qb).Uint64()))
-	}
-	// l digit terms plus the gamma correction term ride the accumulator.
-	sk.wide = wideOK(from, to, l+1)
-	sk.r64, sk.r64Pre = r64Table(to)
-	sk.scratch.New = func() any {
-		sc := &convScratch{z: from.NewPoly(), gamma: make([]uint64, from.N)}
-		if sk.wide {
-			sc.accHi = make([]uint64, from.N)
-			sc.accLo = make([]uint64, from.N)
-		}
-		return sc
-	}
+	sk.w = weightRows(to, append(pis, new(big.Int).Neg(p)), nil)
+	sk.scratch.New = func() any { return newTermScratch(from, l) }
 	return sk, nil
 }
 
@@ -548,10 +392,7 @@ func (sk *SKConverter) ConvertInto(dst, src Poly) error {
 	skMod := sk.from.Mods[sk.l]
 	skPlan := sk.from.Plans[sk.l].Generic()
 	g := sc.gamma
-	skPlan.ScalarMulInto(g, z.Res[0], sk.mSK[0])
-	for i := 1; i < sk.l; i++ {
-		skPlan.ScaleAddInto(g, g, z.Res[i], sk.mSK[i])
-	}
+	spanDotInto(skPlan, g, z.Res[:sk.l], sk.mSK)
 	ySK := src.Res[sk.l]
 	q := skMod.Q
 	for j := range g {
@@ -562,26 +403,10 @@ func (sk *SKConverter) ConvertInto(dst, src Poly) error {
 		g[j] = skMod.Sub(g[j], v)
 	}
 	skPlan.ScalarMulInto(g, g, sk.pInvSK)
-	// dst_j = sum_i z_i*(P/p_i) - gamma*P mod q_j. On a wide-eligible
-	// basis the whole thing — digits and the gamma correction — is one
-	// (l+1)-term deferred inner product with a single canonical landing.
+	// dst_j = sum_i z_i*(P/p_i) - gamma*P mod q_j: the gamma correction
+	// is the (l+1)-th term of one span dot product per output tower.
 	for j := range sk.to.Mods {
-		row := sk.m[j]
-		if sk.wide {
-			wideMulRow(sc.accHi, sc.accLo, z.Res[0], row[0])
-			for i := 1; i < sk.l; i++ {
-				wideMACRow(sc.accHi, sc.accLo, z.Res[i], row[i])
-			}
-			wideMACRow(sc.accHi, sc.accLo, g, sk.negP[j])
-			wideReduceRow(dst.Res[j], sc.accHi, sc.accLo, sk.to.Mods[j], sk.r64[j], sk.r64Pre[j])
-			continue
-		}
-		plan := sk.to.Plans[j].Generic()
-		plan.ScalarMulInto(dst.Res[j], z.Res[0], row[0])
-		for i := 1; i < sk.l; i++ {
-			plan.ScaleAddInto(dst.Res[j], dst.Res[j], z.Res[i], row[i])
-		}
-		plan.ScaleAddInto(dst.Res[j], dst.Res[j], g, sk.negP[j])
+		spanDotInto(sk.to.Plans[j].Generic(), dst.Res[j], sc.terms, sk.w[j])
 	}
 	sk.scratch.Put(sc)
 	return nil

@@ -1,6 +1,7 @@
 package rns
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -140,52 +141,51 @@ func checkBaseConvert(t *testing.T, seed int64, pattern byte) {
 	}
 }
 
-// checkMontConvert verifies the m-tilde-corrected conversion's defining
-// property against big-integer reconstruction: every coefficient converts
-// to a representative y = x + gamma*Q with ONE gamma in {-1, 0} shared by
-// all extension towers — the k*Q overshoot of the plain FastBConv is gone.
+// checkMontConvert verifies the m-tilde-corrected conversion on the
+// shared fixture (see checkMontExact).
 func checkMontConvert(t *testing.T, seed int64, pattern byte) {
 	t.Helper()
 	f := convFix(t)
 	src := f.q.NewPoly()
 	fillResidues(src, f.q.Mods, seed, pattern)
-	canon := f.q.NewPoly()
-	for i, mod := range f.q.Mods {
+	checkMontExact(t, f.mconv, src, nil, fmt.Sprintf("seed %d pattern %x", seed, pattern))
+}
+
+// checkMontExact converts src with conv and checks every output residue
+// against the big-integer specification refMontConvert, and the
+// converted value's defining property: y = x + gamma*Q with gamma in
+// {-1, 0}, so the k*Q overshoot of the plain FastBConv is gone. When hit
+// is non-nil it records every correction class r that occurred.
+func checkMontExact(t *testing.T, conv *MontBaseConverter, src Poly, hit []bool, label string) {
+	t.Helper()
+	q, e := conv.from, conv.to
+	canon := q.NewPoly()
+	for i, mod := range q.Mods {
 		for j, v := range src.Res[i] {
 			canon.Res[i][j] = v % mod.Q
 		}
 	}
-	xs, err := f.q.Reconstruct(canon)
+	xs, err := q.Reconstruct(canon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := f.e.NewPoly()
-	if err := f.mconv.ConvertInto(dst, src); err != nil {
+	dst := e.NewPoly()
+	if err := conv.ConvertInto(dst, src); err != nil {
 		t.Fatal(err)
 	}
 	tmp := new(big.Int)
-	y := new(big.Int)
 	for j, x := range xs {
-		matched := false
-		for _, gamma := range []int64{0, -1} {
-			y.SetInt64(gamma)
-			y.Mul(y, f.q.Q)
-			y.Add(y, x)
-			ok := true
-			for jj, mod := range f.e.Mods {
-				if dst.Res[jj][j] != tmp.Mod(y, tmp.SetUint64(mod.Q)).Uint64() {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				matched = true
-				break
-			}
+		y, r := refMontConvert(t, q, conv.mt, src, j)
+		if hit != nil {
+			hit[r] = true
 		}
-		if !matched {
-			t.Fatalf("seed %d pattern %x: coeff %d: no gamma in {-1,0} explains the converted residues (x=%v)",
-				seed, pattern, j, x)
+		if d := tmp.Sub(x, y); d.Sign() != 0 && d.Cmp(q.Q) != 0 {
+			t.Fatalf("%s: coeff %d: y = x - %v, want 0 or Q", label, j, d)
+		}
+		for jj, mod := range e.Mods {
+			if want := tmp.Mod(y, tmp.SetUint64(mod.Q)).Uint64(); dst.Res[jj][j] != want {
+				t.Fatalf("%s: coeff %d tower %d (r=%d): got %d, want %d", label, j, jj, r, dst.Res[jj][j], want)
+			}
 		}
 	}
 }
@@ -430,4 +430,217 @@ func FuzzRescale(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, pattern byte) {
 		checkRescale(t, seed, pattern)
 	})
+}
+
+// refMontConvert is the integer specification of the m-tilde-corrected
+// conversion for coefficient j: the digits of X = [m~ x]_Q, their weighted
+// sum V = sum_i z_i*(Q/q_i), the correction class r = [-V * Q^-1]_m~ and
+// y = (V + r'*Q) / m~ for the centered r' in (-m~/2, m~/2]. It returns y
+// and r.
+func refMontConvert(t *testing.T, from *Context, mt uint64, src Poly, j int) (*big.Int, uint64) {
+	t.Helper()
+	v := new(big.Int)
+	term := new(big.Int)
+	for i, mod := range from.Mods {
+		x := src.Res[i][j] % mod.Q
+		z := mod.Mul(mod.Mul(x, mt%mod.Q), from.qiInv[i])
+		term.SetUint64(z)
+		v.Add(v, term.Mul(term, from.qi[i]))
+	}
+	mtBig := new(big.Int).SetUint64(mt)
+	qInv := new(big.Int).ModInverse(from.Q, mtBig)
+	rBig := new(big.Int).Neg(v)
+	rBig.Mul(rBig, qInv)
+	r := rBig.Mod(rBig, mtBig).Uint64()
+	rc := new(big.Int).SetUint64(r)
+	if r > mt/2 {
+		rc.Sub(rc, mtBig)
+	}
+	y := rc.Mul(rc, from.Q)
+	y.Add(y, v)
+	if new(big.Int).Mod(y, mtBig).Sign() != 0 {
+		t.Fatalf("coeff %d: V + r'Q = %v not divisible by m~ %d", j, y, mt)
+	}
+	return y.Div(y, mtBig), r
+}
+
+// TestMontBaseConverterMtildeEdges drives the folded rho-digit correction
+// at both ends of its range: m~ in {16, 32} is legal for k = 4 (m~ > 2k is
+// the only requirement) and small enough that every correction class r in
+// [0, m~) occurs, so rho = ((r + m~/2 - 1) & (m~-1)) + 1 is exercised at
+// r = 0, m~/2, m~/2+1 and m~-1 rather than assumed. Every output residue
+// must equal the big-integer specification on canonical and lazy [q, 2q)
+// inputs, and the converted value must stay within {x - Q, x}.
+func TestMontBaseConverterMtildeEdges(t *testing.T) {
+	const n = 256
+	primes, err := modmath.FindNTTPrimes64(59, 2*n, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewContextForPrimes(primes[:4], n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewContextForPrimes(primes[4:], n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mt := range []uint64{16, 32, 1 << 16} {
+		conv, err := NewMontBaseConverter(q, e, mt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := make([]bool, mt)
+		for seed := int64(0); seed < 3; seed++ {
+			for _, pattern := range []byte{0, 3, 4, 7} { // 4: lazy [q, 2q)
+				src := q.NewPoly()
+				fillResidues(src, q.Mods, seed, pattern)
+				checkMontExact(t, conv, src, hit, fmt.Sprintf("m~ %d seed %d pattern %x", mt, seed, pattern))
+			}
+		}
+		if mt > 32 {
+			continue
+		}
+		for r, ok := range hit {
+			if !ok {
+				t.Errorf("m~ %d: correction class r = %d never occurred", mt, r)
+			}
+		}
+	}
+}
+
+// spanChainDot is the digit-by-digit reference for one output tower: a
+// ScalarMulInto of the first row, then a ScaleAddInto per further row,
+// each weight the big-integer c_t reduced mod the tower prime.
+func spanChainDot(to *Context, j int, dst []uint64, rows [][]uint64, c []*big.Int) {
+	plan := to.Plans[j].Generic()
+	qb := new(big.Int).SetUint64(to.Mods[j].Q)
+	w := func(t int) uint64 { return new(big.Int).Mod(c[t], qb).Uint64() }
+	plan.ScalarMulInto(dst, rows[0], w(0))
+	for t := 1; t < len(rows); t++ {
+		plan.ScaleAddInto(dst, dst, rows[t], w(t))
+	}
+}
+
+// TestConvertersMatchSpanChain guards the single conversion path: all
+// three converters must reproduce, bit for bit, a reference assembled
+// from the exported plan API with one ScalarMulInto/ScaleAddInto pass per
+// digit and the corrections applied per element. The shape (k = 2 into 3
+// towers, n = 1024, 61-bit primes) is the basis with the least headroom
+// for a deferred 128-bit digit sum, the path these converters replaced.
+func TestConvertersMatchSpanChain(t *testing.T) {
+	const n = 1024
+	const mt = 1 << 16
+	primes, err := modmath.FindNTTPrimes64(61, 2*n, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewContextForPrimes(primes[:2], n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewContextForPrimes(primes[2:], n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := NewBaseConverter(q, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mconv, err := NewMontBaseConverter(q, e, mt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := NewSKConverter(e, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qis := []*big.Int{q.QiBig(0), q.QiBig(1)}
+	eq := func(what string, got, want Poly) {
+		t.Helper()
+		for i := range want.Res {
+			for j := range want.Res[i] {
+				if got.Res[i][j] != want.Res[i][j] {
+					t.Fatalf("%s: tower %d coeff %d: got %d, span chain %d", what, i, j, got.Res[i][j], want.Res[i][j])
+				}
+			}
+		}
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		for _, pattern := range []byte{0, 3, 4, 7, 15} {
+			src := q.NewPoly()
+			fillResidues(src, q.Mods, seed, pattern)
+
+			// FastBConv: z_i = x_i * (Q/q_i)^-1, then sum_i z_i*(Q/q_i).
+			z := q.NewPoly()
+			for i := range q.Mods {
+				q.Plans[i].Generic().ScalarMulInto(z.Res[i], src.Res[i], q.QiInv(i))
+			}
+			want := e.NewPoly()
+			for j := range e.Mods {
+				spanChainDot(e, j, want.Res[j], z.Res, qis)
+			}
+			got := e.NewPoly()
+			if err := conv.ConvertInto(got, src); err != nil {
+				t.Fatal(err)
+			}
+			eq("BaseConverter", got, want)
+
+			// Mont: digits of [m~ x]_Q, V by the chain, then
+			// (V + r'*Q) * m~^-1 per element.
+			for i, mod := range q.Mods {
+				q.Plans[i].Generic().ScalarMulInto(z.Res[i], src.Res[i], mod.Mul(mt%mod.Q, q.QiInv(i)))
+			}
+			qInvMt := new(big.Int).ModInverse(q.Q, big.NewInt(mt)).Uint64()
+			for j, mod := range e.Mods {
+				spanChainDot(e, j, want.Res[j], z.Res, qis)
+				qp := new(big.Int).Mod(q.Q, new(big.Int).SetUint64(mod.Q)).Uint64()
+				mtInv := mod.Inv(mt % mod.Q)
+				for c := range want.Res[j] {
+					var vmt uint64
+					for i := range q.Mods {
+						vmt += z.Res[i][c] * new(big.Int).Mod(qis[i], big.NewInt(mt)).Uint64()
+					}
+					r := (-vmt * qInvMt) % mt
+					corr := mod.Mul(r, qp)
+					if r > mt/2 {
+						corr = mod.Sub(corr, mod.Mul(mt%mod.Q, qp))
+					}
+					want.Res[j][c] = mod.Mul(mod.Add(want.Res[j][c], corr), mtInv)
+				}
+			}
+			if err := mconv.ConvertInto(got, src); err != nil {
+				t.Fatal(err)
+			}
+			eq("MontBaseConverter", got, want)
+
+			// SK: digits over P, gamma on m_sk, then
+			// sum_i z_i*(P/p_i) - gamma*P.
+			srcE := e.NewPoly()
+			fillResidues(srcE, e.Mods, seed+100, pattern)
+			p := new(big.Int).Mul(new(big.Int).SetUint64(e.Mods[0].Q), new(big.Int).SetUint64(e.Mods[1].Q))
+			pis := []*big.Int{new(big.Int).SetUint64(e.Mods[1].Q), new(big.Int).SetUint64(e.Mods[0].Q)}
+			ze := e.NewPoly()
+			for i := 0; i < 2; i++ {
+				mod := e.Mods[i]
+				e.Plans[i].Generic().ScalarMulInto(ze.Res[i], srcE.Res[i], mod.Inv(pis[i].Uint64()%mod.Q))
+			}
+			skMod := e.Mods[2]
+			g := ze.Res[2]
+			spanChainDot(e, 2, g, ze.Res[:2], pis)
+			for c := range g {
+				g[c] = skMod.Sub(g[c], srcE.Res[2][c]%skMod.Q)
+			}
+			e.Plans[2].Generic().ScalarMulInto(g, g, skMod.Inv(new(big.Int).Mod(p, new(big.Int).SetUint64(skMod.Q)).Uint64()))
+			wantQ := q.NewPoly()
+			for j := range q.Mods {
+				spanChainDot(q, j, wantQ.Res[j], ze.Res, append(pis, new(big.Int).Neg(p)))
+			}
+			gotQ := q.NewPoly()
+			if err := sk.ConvertInto(gotQ, srcE); err != nil {
+				t.Fatal(err)
+			}
+			eq("SKConverter", gotQ, wantQ)
+		}
+	}
 }
